@@ -44,10 +44,19 @@ SRC = '''
     }
     def scale(x) { return x * 3 + 1; }
     def shift(x) { return x + 11; }
+    def tally(x) {
+      var g = fun(z) => (z * 3 + x) % 101;
+      var s = 0;
+      var i = 0;
+      while (i < 8) { s = s + g(i); i = i + 1; }
+      return s;
+    }
 '''
 
 #: The workload's program shapes: every VM touches all of them.
-SHAPES = ["poly", "sq", "scale", "shift"]
+#: ``tally`` builds a closure, so its unit links the closure's class by
+#: name: the warm-fleet gate covers name-linked statics too.
+SHAPES = ["poly", "sq", "scale", "shift", "tally"]
 
 FLEET_VMS = int(os.environ.get("REPRO_FLEET_VMS", "8"))
 FLEET_REQUESTS = int(os.environ.get("REPRO_FLEET_REQUESTS", "200"))

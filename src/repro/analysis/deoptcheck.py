@@ -202,9 +202,9 @@ def check_bridge_stitch(result, live_slots, start_locals, end_locals,
     A finished bridge recording is about to be stitched back to the
     trace's loop header.  The optimizer may have pruned loop-invariant
     header params; a bridge that *writes* such a slot (``end_locals``
-    differs from ``start_locals``) has nowhere to carry the new value on
-    the pruned back edge — the stitched loop would silently re-run from
-    the entry value forever.  Returns finding strings with bytecode
+    differs from ``start_locals``, the slot values at the loop header)
+    has nowhere to carry the new value on the pruned back edge — the
+    stitched loop would silently re-run from the entry value forever.  Returns finding strings with bytecode
     provenance (also surfaced through telemetry by the stitcher, which
     refuses the stitch)."""
     header = result.blocks.get(header_bid)

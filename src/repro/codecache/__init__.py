@@ -6,9 +6,10 @@ every process pays full warmup; production serving stacks add two
 pieces, both provided here:
 
 * :class:`PersistentCodeCache` — an on-disk, integrity-checked store of
-  generated backend source + metadata per compilation unit, keyed by a
-  content fingerprint (guest bytecode hash × CompileOptions ×
-  macro-registry version × tier × backend). Entries carry a format
+  generated backend source, its marshaled code object, and metadata
+  per compilation unit, keyed by a content fingerprint (guest bytecode
+  hash × CompileOptions × macro-registry version × tier × backend,
+  the program hash memoized per linker generation). Entries carry a format
   version and a sha256 checksum; a corrupt or truncated entry is
   *quarantined* and treated as a clean miss — the cache never crashes a
   compile. A size budget is enforced by LRU eviction (file mtime is the

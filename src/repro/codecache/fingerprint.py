@@ -7,7 +7,10 @@ generated code is unchanged. The fingerprint therefore covers:
   and method bytecode. The staged compiler inlines and specializes
   across method boundaries, so the hash is over the whole loaded class
   set, not just the entry method: sound (any program edit invalidates)
-  at the cost of some precision.
+  at the cost of some precision. The digest is memoized on the linker
+  against its ``generation`` counter (bumped by every class load and
+  @stable mark), so a VM hashes its program once per load, not once
+  per compile request.
 * the **unit identity** — qualified name, arity, staticness.
 * the **CompileOptions** — every codegen-relevant knob (tier included).
   Service/cache plumbing fields (``cache_dir``, ``compile_workers``,
@@ -44,7 +47,20 @@ def _h(parts):
 
 
 def program_fingerprint(linker):
-    """Hash the whole loaded class set (sorted, canonical rendering)."""
+    """Hash the whole loaded class set (sorted, canonical rendering),
+    memoized per linker generation."""
+    generation = linker.generation
+    memo = linker.fingerprint_memo
+    if memo is not None and memo[0] == generation:
+        return memo[1]
+    digest = _hash_program(linker)
+    # Tagged with the generation read *before* hashing: a load racing
+    # the hash bumps past it, so the next call recomputes.
+    linker.fingerprint_memo = (generation, digest)
+    return digest
+
+
+def _hash_program(linker):
     parts = []
     for name in sorted(linker.classes):
         rt = linker.classes[name]

@@ -2,10 +2,15 @@
 
 Only *self-contained* units persist. Generated source may reference
 process-private state through three channels, each checked at store
-time; a unit using any of them is reported unpersistable (a
-``codecache.skip`` event, never an error):
+time; a unit that leans on process-private state through any of them
+is reported unpersistable (a ``codecache.skip`` event, never an error):
 
-* the **statics table** (``K[i]``) — identity-bound live heap objects;
+* the **statics table** (``K[i]``) — live heap objects referenced by
+  identity. Entries that are *linked classes* (``RtClass``: a closure's
+  class, the class of a ``new``) persist by class name and are resolved
+  against the loading VM's linker, so the code allocates instances of
+  *that* VM's class; a name the VM lacks is a link miss. Any other heap
+  object (a specialized receiver, an array) is unpersistable;
 * **deopt metadata** slots that capture heap state (``static`` /
   ``virtual`` slot templates, non-primitive constants) — ``live`` slots
   and primitive constants serialize fine, so guard-carrying units
@@ -18,13 +23,29 @@ persistence: the folded value is a snapshot of heap state with no
 runtime guard. ``stable(...)`` *macro* guards are different — they
 re-check at runtime, so they persist, and a failing guard invalidates
 the dependent persistent entry (see ``CompiledFunction.invalidate``).
+
+Staged units carry their source *and* its marshaled module code object
+tagged with the host bytecode magic: a loader on the same CPython
+``exec``s the code object without re-running ``compile()``, any other
+CPython falls back to compiling the source, so mixed-version fleets
+still share entries.
 """
 
 from __future__ import annotations
 
+import base64
+import importlib.util
+import marshal
+import types
+
 from repro.compiler.deopt import DeoptMeta, FrameTemplate
+from repro.runtime.objects import RtClass
 
 _PRIMITIVES = (bool, int, float, str)
+
+#: Host bytecode magic: marshaled code objects only load on a CPython
+#: with the same magic.
+_MAGIC = importlib.util.MAGIC_NUMBER.hex()
 
 
 class Unpersistable(Exception):
@@ -84,9 +105,6 @@ def _baseline_payload(compiled, fingerprint, options, backend):
     source, no metas, no statics by construction (the runtime-helper
     namespace is rebuilt by name at load). The host bytecode magic is
     stored so a different CPython reads a clean miss."""
-    import base64
-    import importlib.util
-    import marshal
     if compiled.method.class_name is None:
         raise Unpersistable("baseline unit's method has no class")
     return {
@@ -97,37 +115,42 @@ def _baseline_payload(compiled, fingerprint, options, backend):
         "kind": "baseline",
         "cls": compiled.method.class_name,
         "method": compiled.method.name,
-        "magic": importlib.util.MAGIC_NUMBER.hex(),
-        "code": base64.b64encode(
-            marshal.dumps(compiled.code_object)).decode("ascii"),
+        "magic": _MAGIC,
+        "code": _dump_code(compiled.code_object),
         "warnings": [str(w) for w in compiled.warnings],
     }
+
+
+def _dump_code(code):
+    return base64.b64encode(marshal.dumps(code)).decode("ascii")
+
+
+def _load_code(payload):
+    """Unmarshal a payload's code object; corrupt bytes raise, which
+    the store quarantines."""
+    code = marshal.loads(base64.b64decode(payload["code"]))
+    if not isinstance(code, types.CodeType):
+        raise Unpersistable("%s payload decoded to %s"
+                            % (payload.get("kind", "unit"),
+                               type(code).__name__))
+    return code
 
 
 def _baseline_rehydrate(payload, jit, recompile):
     """Rebuild a BaselineFunction from its marshaled code object.
     Returns ``None`` on a link/version miss; corrupt marshal bytes
     raise, which the store quarantines."""
-    import base64
-    import importlib.util
-    import marshal
-    import types
-
     from repro.baseline import (BaselineFunction, baseline_namespace,
                                 baseline_supported)
     from repro.observability import CompileReport
 
-    if (not baseline_supported()
-            or payload.get("magic") != importlib.util.MAGIC_NUMBER.hex()):
+    if not baseline_supported() or payload.get("magic") != _MAGIC:
         return None
     rt = jit.vm.linker.classes.get(payload["cls"])
     method = rt.lookup_method(payload["method"]) if rt is not None else None
     if method is None:
         return None
-    code = marshal.loads(base64.b64decode(payload["code"]))
-    if not isinstance(code, types.CodeType):
-        raise Unpersistable("baseline payload decoded to %s"
-                            % type(code).__name__)
+    code = _load_code(payload)
     fn = types.FunctionType(code, baseline_namespace(jit, method),
                             payload["unit"])
     compiled = BaselineFunction(jit, fn, method, code,
@@ -141,6 +164,19 @@ def _baseline_rehydrate(payload, jit, recompile):
     return compiled
 
 
+def _statics_to_json(linker, statics):
+    """The statics table as class names; raises :class:`Unpersistable`
+    on any entry that is not a class linked into ``linker``."""
+    names = []
+    for obj in statics.objects:
+        if not (isinstance(obj, RtClass)
+                and linker.classes.get(obj.name) is obj):
+            raise Unpersistable("statics-table entry of type %s"
+                                % type(obj).__name__)
+        names.append(obj.name)
+    return names
+
+
 def build_payload(compiled, fingerprint, options, backend="python"):
     """Serialize one CompiledFunction to a JSON-safe payload dict.
 
@@ -152,8 +188,7 @@ def build_payload(compiled, fingerprint, options, backend="python"):
     result = getattr(compiled, "ir", None)
     if result is None:
         raise Unpersistable("no post-pipeline IR attached")
-    if len(result.statics):
-        raise Unpersistable("%d statics-table entries" % len(result.statics))
+    statics = _statics_to_json(compiled.vm.linker, result.statics)
     if result.stable_deps:
         raise Unpersistable("@stable field dependencies")
     blockers = getattr(compiled, "persist_blockers", None) or []
@@ -169,6 +204,9 @@ def build_payload(compiled, fingerprint, options, backend="python"):
         "tier": getattr(compiled, "tier", options.tier),
         "backend": backend,
         "source": compiled.source,
+        "magic": _MAGIC,
+        "code": _dump_code(compiled.module_code),
+        "statics": statics,
         "param_names": list(result.param_names),
         "warnings": [str(w) for w in compiled.warnings],
         "metas": [_meta_to_json(m) for m in compiled.metas],
@@ -181,8 +219,9 @@ def build_payload(compiled, fingerprint, options, backend="python"):
 def rehydrate(payload, jit, recompile=None):
     """Rebuild a callable CompiledFunction from a cached payload, with
     zero staging/optimization work. Returns ``None`` when the payload no
-    longer links against this VM (a method or native referenced by the
-    deopt metadata is gone) — the caller treats that as a miss.
+    longer links against this VM (a class named by the statics table,
+    or a method or native referenced by the deopt metadata, is gone) —
+    the caller treats that as a miss.
     """
     if payload.get("kind") == "baseline":
         return _baseline_rehydrate(payload, jit, recompile)
@@ -192,19 +231,32 @@ def rehydrate(payload, jit, recompile=None):
     from repro.observability import CompileReport
     from repro.pipeline.backend import python_runtime_hooks
 
+    linker = jit.vm.linker
+    statics = _Statics()
+    for name in payload["statics"]:
+        cls = linker.classes.get(name)
+        if cls is None:
+            return None
+        statics.objects.append(cls)     # K[i] is positional
     metas = []
     for md in payload["metas"]:
-        meta = _meta_from_json(md, jit.vm.linker)
+        meta = _meta_from_json(md, linker)
         if meta is None:
             return None
         metas.append(meta)
-    codegen = PyCodegen(jit.vm, _Statics(), metas)
+    codegen = PyCodegen(jit.vm, statics, metas)
     for binding, cls, name in payload["natives"]:
         if not codegen.bind_native_by_name(binding, cls, name):
             return None
     callv, callm, mkcont, osr = python_runtime_hooks(jit, metas)
-    fn = codegen.exec_source(payload["source"], callv, callm, mkcont, osr,
-                             filename="<lancet-cached>")
+    if payload["magic"] == _MAGIC:
+        fn = codegen.exec_code(_load_code(payload), callv, callm, mkcont,
+                               osr)
+    else:
+        # Another CPython wrote this entry: its code object is foreign
+        # bytecode, but the source is portable.
+        fn = codegen.exec_source(payload["source"], callv, callm, mkcont,
+                                 osr, filename="<lancet-cached>")
     compiled = CompiledFunction(jit, fn, payload["source"], metas,
                                 recompile=recompile, name=payload["unit"],
                                 warnings=payload["warnings"])

@@ -35,7 +35,7 @@ from repro.codecache.fingerprint import unit_fingerprint
 from repro.codecache.serialize import (Unpersistable, build_payload,
                                        rehydrate)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _SUFFIX = ".json"
 _QUARANTINE_SUFFIX = ".quarantine"

@@ -53,6 +53,7 @@ class PyCodegen:
         self._native_bindings = {}   # binding name -> callable
         self.native_refs = {}        # binding name -> (class, native name)
         self.persist_blockers = []   # why this source can't be persisted
+        self.module_code = None      # code object compiled by generate()
 
     # -- value rendering -------------------------------------------------------
 
@@ -240,7 +241,9 @@ class PyCodegen:
 
     def generate(self, blocks, entry_id, param_names, callv, callm, mkcont,
                  osr, optimize=True):
-        """Render, compile, and return ``(function, source)``.
+        """Render, compile, and return ``(function, source)``; the
+        module code object stays on :attr:`module_code` for the
+        persistent cache.
 
         ``optimize=False`` skips fusion/DCE — the JIT pipeline has already
         run them (plus the IR analyses) by the time it calls us.
@@ -279,7 +282,9 @@ class PyCodegen:
                         lines.append("            " + ln)
 
         source = "\n".join(lines) + "\n"
-        return self.exec_source(source, callv, callm, mkcont, osr), source
+        self.module_code = compile(source, "<lancet-compiled>", "exec")
+        return (self.exec_code(self.module_code, callv, callm, mkcont, osr),
+                source)
 
     def exec_source(self, source, callv, callm, mkcont, osr,
                     filename="<lancet-compiled>"):
@@ -287,8 +292,14 @@ class PyCodegen:
         namespace (statics, natives, runtime hooks). This is the reload
         half of the persistent code cache: cached source re-enters here
         without any staging."""
+        return self.exec_code(compile(source, filename, "exec"),
+                              callv, callm, mkcont, osr)
+
+    def exec_code(self, code, callv, callm, mkcont, osr):
+        """Run a compiled module code object (from :meth:`exec_source`
+        or unmarshaled from the persistent cache) in this codegen's
+        namespace and return the function it defines."""
         namespace = self._namespace(callv, callm, mkcont, osr)
-        code = compile(source, filename, "exec")
         exec(code, namespace)
         return namespace[self.fn_name]
 

@@ -43,15 +43,20 @@ def _static_closure(ctx, rep):
     return closure if isinstance(closure, Obj) else None
 
 
-def _kernel_for(ctx, closure_rep, cache={}):
+def _kernel_for(ctx, closure_rep):
     closure = _static_closure(ctx, closure_rep)
     if closure is None:
         return None
+    # Per-VM cache: a kernel holds its VM's compiled code, so the cache
+    # must die with the VM. Entries keep their closure, and a hit checks
+    # identity, so a recycled id() never returns another closure's kernel.
+    jit = ctx.vm.jit
+    cache = vars(jit).setdefault("optiml_kernels", {})
     hit = cache.get(id(closure))
-    if hit is None:
-        hit = Kernel.from_closure(ctx.vm.jit, closure)
+    if hit is None or hit[0] is not closure:
+        hit = (closure, Kernel.from_closure(jit, closure))
         cache[id(closure)] = hit
-    return hit
+    return hit[1]
 
 
 # -- user-closure operators ---------------------------------------------------

@@ -107,6 +107,7 @@ class PythonBackend(Backend):
                                     name=unit.name,
                                     warnings=result.warnings)
         compiled.ir = result   # post-pipeline IR, for introspection
+        compiled.module_code = codegen.module_code
         # Persistence bookkeeping: which natives the source links against
         # (re-resolved by name on reload) and anything process-private
         # that makes the source non-persistable.

@@ -643,9 +643,6 @@ class TraceManager:
         rec.live_slots = trace.live_slots
         rec.trace = trace
         rec.bridge_meta_id = meta_id
-        # Snapshot the root frame's locals: the stitcher must know which
-        # slots the bridge *wrote* (vs merely started from).
-        rec.start_root_locals = list(shadow[0].locals)
         self.recording = rec
         self.vm.trace_recorder = rec
         self.telemetry.inc("trace.records")
@@ -902,9 +899,16 @@ class TraceManager:
             # reports the violation statically (with bci provenance);
             # keep the deopt exit instead — the enclosing loop's own
             # trace covers this path.
+            # Compare with each slot's value at the loop header (entry
+            # param ``a<k+1>``), not at the bridge's start: a bridge
+            # recorded off an earlier bridge's guard starts after that
+            # bridge's writes.
             from repro.analysis.deoptcheck import check_bridge_stitch
+            header_locals = [None] * len(rec.shadow[0].locals)
+            for k, slot in enumerate(trace.live_slots):
+                header_locals[slot] = Sym("a%d" % (k + 1))
             findings = check_bridge_stitch(
-                result, trace.live_slots, rec.start_root_locals,
+                result, trace.live_slots, header_locals,
                 rec.shadow[0].locals, rec.root_method, rec.header_bci)
             if findings:
                 trace.bridge_failed.add(meta_id)

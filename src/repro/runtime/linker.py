@@ -18,6 +18,11 @@ class Linker:
     def __init__(self, verify=True):
         self.classes = {}
         self.verify = verify
+        # Bumped after every mutation of the class set (loads, @stable
+        # marks), so derived data such as the program fingerprint can be
+        # memoized against it.
+        self.generation = 0
+        self.fingerprint_memo = None   # (generation, digest)
 
     def load_classes(self, classfiles):
         """Load a batch of classfiles (resolving supers within the batch
@@ -26,6 +31,14 @@ class Linker:
         for name in pending:
             if name in self.classes:
                 raise LinkError("class %s already loaded" % name)
+        try:
+            self._link(pending)
+        finally:
+            # A batch that fails midway has still linked some classes.
+            self.generation += 1
+        return [self.classes[cf.name] for cf in classfiles]
+
+    def _link(self, pending):
         progress = True
         while pending and progress:
             progress = False
@@ -48,7 +61,6 @@ class Linker:
         if pending:
             raise LinkError("superclass cycle involving: %s"
                             % ", ".join(sorted(pending)))
-        return [self.classes[cf.name] for cf in classfiles]
 
     def resolve_class(self, name):
         cls = self.classes.get(name)
@@ -81,3 +93,4 @@ class Linker:
         for other in self.classes.values():
             if other.is_subclass_of(class_name):
                 other.stable_fields.add(field_name)
+        self.generation += 1

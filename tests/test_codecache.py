@@ -372,6 +372,185 @@ class TestBaselinePersistence:
         assert len(entry_files(j.codecache.root)) == 2
 
 
+def _unit_key(j, fn_name, cls="Main"):
+    method = j.vm.linker.resolve_static(cls, fn_name)
+    return j.codecache.fingerprint(j, method, j.options)
+
+
+def _single_entry(j):
+    (name,) = entry_files(j.codecache.root)
+    return os.path.join(j.codecache.root, name)
+
+
+class TestFingerprintMemo:
+    """The program fingerprint is hashed once per linker generation, and
+    every mutation of the class set moves the unit key."""
+
+    STABLE_SRC = '''
+        class Cfg { var k; def init(k) { this.k = k; } }
+        def get(c) { return c.k; }
+    '''
+
+    def test_loading_a_module_changes_the_unit_key(self, tmp_path):
+        j = load_cached(tmp_path)
+        f = j.compile_function("Main", "addmul")
+        generation = j.vm.linker.generation
+        j.load("def extra(x) { return x + 1; }", module="Extra")
+        assert j.vm.linker.generation > generation
+        assert _unit_key(j, "addmul") != f.persist_key
+
+    def test_mark_stable_changes_the_unit_key(self, tmp_path):
+        j = load_cached(tmp_path, source=self.STABLE_SRC)
+        before = _unit_key(j, "get")
+        j.compile_function("Main", "get")
+        j.mark_stable("Cfg", "k")
+        assert _unit_key(j, "get") != before
+
+    def test_identical_programs_get_equal_keys(self, tmp_path):
+        j1 = load_cached(tmp_path)
+        j2 = load_cached(tmp_path)
+        assert j1.vm.linker is not j2.vm.linker
+        assert _unit_key(j1, "addmul") == _unit_key(j2, "addmul")
+
+    def test_memo_is_per_linker(self, tmp_path, monkeypatch):
+        from repro.codecache import fingerprint
+        hashed = []
+        real = fingerprint._hash_program
+        monkeypatch.setattr(fingerprint, "_hash_program",
+                            lambda linker: hashed.append(linker)
+                            or real(linker))
+        j1 = load_cached(tmp_path)
+        j2 = load_cached(tmp_path)
+        for __ in range(3):
+            j1.compile_function("Main", "addmul")
+            j1.compile_function("Main", "other")
+            _unit_key(j2, "addmul")
+        assert hashed == [j1.vm.linker, j2.vm.linker]
+        # A load into one VM leaves the other's memo valid.
+        digest = fingerprint.program_fingerprint(j2.vm.linker)
+        j1.load("def extra(x) { return x; }", module="Extra")
+        assert fingerprint.program_fingerprint(j2.vm.linker) == digest
+        assert fingerprint.program_fingerprint(j1.vm.linker) != digest
+        assert hashed == [j1.vm.linker, j2.vm.linker, j1.vm.linker]
+
+
+class TestClosurePersistence:
+    """Units whose statics table holds only linked classes (a closure's
+    class, the class of a ``new``) persist by class name and link
+    against the loading VM's own classes."""
+
+    CLOSURE_SRC = '''
+        def mk(x) { return fun(z) => z * 3 + x; }
+    '''
+
+    def test_closure_unit_rehydrates_against_new_vm_classes(self,
+                                                            tmp_path):
+        j1 = load_cached(tmp_path, source=self.CLOSURE_SRC)
+        g1 = j1.compile_function("Main", "mk")(4)
+        assert j1.stats()["codecache"]["stores"] == 1
+
+        j2 = load_cached(tmp_path, source=self.CLOSURE_SRC)
+        f2 = j2.compile_function("Main", "mk")
+        g2 = f2(4)
+        s2 = j2.stats()
+        assert s2["compiles"] == 0
+        assert s2["codecache"]["hits"] == 1
+        assert g2.cls is j2.vm.linker.classes[g1.cls.name]
+        assert g2.cls is not g1.cls
+        assert j2.vm.call_virtual(g2, "apply", [5]) == 19
+
+    def test_absent_class_is_link_miss(self, tmp_path):
+        j1 = load_cached(tmp_path, source=self.CLOSURE_SRC)
+        j1.compile_function("Main", "mk")
+        path = _single_entry(j1)
+
+        def rename(payload):
+            assert payload["statics"]
+            payload["statics"] = ["NoSuchClass"] * len(payload["statics"])
+        _rewrap(path, rename)
+
+        j2 = load_cached(tmp_path, source=self.CLOSURE_SRC)
+        j2.compile_function("Main", "mk")(4)
+        s2 = j2.stats()
+        assert s2["compiles"] == 1
+        assert s2["codecache"]["link_misses"] == 1
+        assert s2["codecache"]["quarantines"] == 0
+
+    def test_non_class_static_is_skipped(self, tmp_path):
+        j = load_cached(tmp_path, source=self.CLOSURE_SRC)
+        j.telemetry.enable_trace()
+        closure = j.vm.call("Main", "mk", [4])
+        compiled = j.compile_closure(closure)
+        assert compiled(5) == 19
+        assert j.codecache.store("f" * 64, compiled, j.options) is False
+        (skip,) = j.telemetry.events("codecache.skip")
+        assert "statics-table entry of type Obj" in skip.data["reason"]
+        assert entry_files(j.codecache.root) == []
+
+
+class TestMarshaledCode:
+    """Staged entries ship the marshaled module code object next to the
+    source, gated by the host bytecode magic."""
+
+    def test_foreign_magic_falls_back_to_source(self, tmp_path):
+        j1 = load_cached(tmp_path)
+        j1.compile_function("Main", "addmul")
+        path = _single_entry(j1)
+
+        def foreign(payload):
+            payload["magic"] = "deadbeef"
+            payload["code"] = "AAAA"       # never unmarshaled
+        _rewrap(path, foreign)
+
+        j2 = load_cached(tmp_path)
+        f2 = j2.compile_function("Main", "addmul")
+        assert f2(5) == 22
+        s2 = j2.stats()
+        assert s2["compiles"] == 0
+        assert s2["codecache"]["hits"] == 1
+        assert s2["codecache"]["misses"] == 0
+        assert s2["codecache"]["quarantines"] == 0
+
+    def test_corrupt_code_quarantined_and_recompiled(self, tmp_path):
+        j1 = load_cached(tmp_path)
+        j1.compile_function("Main", "addmul")
+        path = _single_entry(j1)
+
+        def clobber(payload):
+            payload["code"] = "AAAA" + payload["code"][4:]
+        _rewrap(path, clobber)
+
+        j2 = load_cached(tmp_path)
+        assert j2.compile_function("Main", "addmul")(5) == 22
+        s2 = j2.stats()
+        assert s2["compiles"] == 1
+        assert s2["codecache"]["quarantines"] == 1
+        assert os.path.exists(path + ".quarantine")
+        assert entry_files(j2.codecache.root) == [os.path.basename(path)]
+
+    def test_old_format_entry_is_version_miss(self, tmp_path):
+        from repro.codecache.store import _checksum
+        j1 = load_cached(tmp_path)
+        j1.compile_function("Main", "addmul")
+        path = _single_entry(j1)
+        with open(path) as f:
+            wrapper = json.load(f)
+        # The format-1 payload: source only, no statics or code channel.
+        for key in ("magic", "code", "statics"):
+            del wrapper["payload"][key]
+        wrapper["format"] = 1
+        wrapper["sha256"] = _checksum(wrapper["payload"])
+        with open(path, "w") as f:
+            json.dump(wrapper, f)
+
+        j2 = load_cached(tmp_path)
+        assert j2.compile_function("Main", "addmul")(5) == 22
+        s2 = j2.stats()
+        assert s2["compiles"] == 1
+        assert s2["codecache"]["version_misses"] == 1
+        assert s2["codecache"]["quarantines"] == 0
+
+
 class TestCompileService:
     def _gated_service(self, **kw):
         """A 1-worker service whose first job blocks on a gate, so tests

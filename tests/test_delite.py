@@ -288,3 +288,40 @@ class TestSumRange:
         jit.delite.configure("gpu")
         cf(0)
         assert jit.delite.ops_run == 1
+
+
+class TestKernelCache:
+    """OptiML macros cache one Kernel per static closure, per VM: the
+    cache must neither keep a dropped VM alive nor hand one VM's kernel
+    to another."""
+
+    SRC = '''
+        def mk() {
+          return Lancet.compile(fun(d) =>
+            Optiml.sumRange(0, 10, fun(i) => i * 3));
+        }
+    '''
+
+    def make(self):
+        from repro.optiml import load_optiml
+        jit = Lancet()
+        load_optiml(jit)
+        jit.load(self.SRC, module="KernelCacheT")
+        cf = jit.vm.call("KernelCacheT", "mk")
+        assert cf(0) == 135
+        return jit
+
+    def test_dropped_vm_is_collected(self):
+        import gc
+        import weakref
+        refs = [weakref.ref(self.make()) for __ in range(2)]
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    def test_cache_is_per_vm(self):
+        j1, j2 = self.make(), self.make()
+        (entry1,) = j1.optiml_kernels.values()
+        (entry2,) = j2.optiml_kernels.values()
+        assert entry1[1] is not entry2[1]
+        assert entry1[1].scalar_fn.jit is j1
+        assert entry2[1].scalar_fn.jit is j2

@@ -242,6 +242,45 @@ class TestBridges:
         (site_stats,) = traces_stats(j)["traces"].values()
         assert site_stats["exits"] == 0
 
+    def test_bridge_off_a_bridge_cannot_write_pruned_slot(self):
+        """The inner trace's exit is first bridged to a return (the last
+        outer iteration); a later bridge off that bridge's ``i < 2``
+        guard runs the outer body and jumps back to the inner header.
+        The outer counter ``i`` is a pruned invariant of the inner
+        trace, so that stitch must be refused: the back edge could not
+        carry ``i + 1`` and the stitched loop would never end. Runs in
+        a subprocess so a regression fails on the timeout instead of
+        hanging the suite."""
+        import os
+        import subprocess
+        import sys
+        script = '''
+from repro import CompileOptions, Lancet
+SRC = """
+def f(a, b) {
+  var i = 0;
+  while (i < 2) {
+    if (a > 4) { a = 1; }
+    var j = 0;
+    while (j < 3) { b = b + j; j = j + 1; }
+    i = i + 1;
+  }
+  return a + b;
+}
+"""
+j = Lancet(options=CompileOptions(trace_tier=True, verify_ir=True,
+                                  trace_threshold=4, bridge_threshold=3))
+j.load(SRC)
+print([j.vm.call("Main", "f", [4, 15]) for _ in range(6)],
+      j.telemetry.metrics.get("deoptcheck.bridge_rejects"))
+'''
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(__file__), "..", "src"))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[25,"] + ["25,"] * 4 + ["25]", "1"]
+
     def test_megamorphic_call_site_grows_bridge_chain(self):
         j = trace_jit(MEGA_SRC, trace_threshold=10, bridge_threshold=3,
                       trace_exit_budget=10 ** 9)
