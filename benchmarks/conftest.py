@@ -1,8 +1,9 @@
 """Shared benchmark fixtures (small sizes — the paper-scale tables are
 produced by ``python benchmarks/harness.py``)."""
 
-import sys
+import faulthandler
 import os
+import sys
 
 # Benchmarks measure the optimizer, not the checkers: the speculation-
 # soundness validators default OFF here (REPRO_VALIDATE=1 in the
@@ -16,6 +17,18 @@ import pytest
 from repro import Lancet
 from repro.apps import load_app
 from repro.optiml import load_optiml
+
+
+#: Seconds one test may run before every thread's stack is dumped and the
+#: process exits, so a runaway guest or compiler fails instead of hanging.
+HANG_TIMEOUT_S = 600
+
+
+@pytest.fixture(autouse=True)
+def _fail_on_hang():
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="module")

@@ -73,6 +73,8 @@ def solve(blocks, entry_id, analysis):
     Unreachable blocks keep their ``bottom`` boundary value. The worklist
     is seeded in reverse postorder (forward) or postorder (backward) so
     acyclic regions converge in one sweep; loops iterate until stable.
+    A forward block joins only predecessors that have an OUT and is
+    transferred once per change of its IN (once each, if acyclic).
     """
     if analysis.direction == "forward":
         return _solve_forward(blocks, entry_id, analysis)
@@ -86,8 +88,14 @@ def _solve_forward(blocks, entry_id, analysis):
     out_val = {}
     if entry_id in blocks:
         in_val[entry_id] = analysis.boundary(blocks, entry_id)
-    for bid in blocks:
-        out_val[bid] = analysis.transfer(blocks[bid], in_val[bid])
+
+    # The entry and every loop header (a predecessor at or after it in
+    # reverse postorder) join their previous IN, so their IN only ascends
+    # and widening joins cannot oscillate round a loop.
+    rank = {bid: i for i, bid in enumerate(order)}
+    ascending = {bid for bid in order
+                 if any(rank.get(p, -1) >= rank[bid] for p in preds[bid])}
+    ascending.add(entry_id)
 
     work = deque(order)
     queued = set(order)
@@ -95,20 +103,24 @@ def _solve_forward(blocks, entry_id, analysis):
         bid = work.popleft()
         queued.discard(bid)
         block = blocks[bid]
-        merged = analysis.boundary(blocks, entry_id) if bid == entry_id \
-            else analysis.bottom()
+        merged = in_val[bid] if bid in ascending else analysis.bottom()
         for pred in preds[bid]:
-            edge = analysis.edge_value(blocks[pred], bid, out_val[pred])
-            merged = analysis.join(merged, edge)
-        if merged != in_val[bid] or bid not in out_val:
-            in_val[bid] = merged
+            if pred in out_val:
+                edge = analysis.edge_value(blocks[pred], bid, out_val[pred])
+                merged = analysis.join(merged, edge)
+        if bid in out_val and merged == in_val[bid]:
+            continue
+        in_val[bid] = merged
         new_out = analysis.transfer(block, merged)
-        if new_out != out_val[bid]:
+        if bid not in out_val or new_out != out_val[bid]:
             out_val[bid] = new_out
             for succ in block.terminator.successors():
                 if succ in blocks and succ not in queued:
                     work.append(succ)
                     queued.add(succ)
+    for bid in blocks:
+        if bid not in out_val:
+            out_val[bid] = analysis.transfer(blocks[bid], in_val[bid])
     return {bid: (in_val[bid], out_val[bid]) for bid in blocks}
 
 

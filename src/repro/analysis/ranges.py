@@ -18,9 +18,12 @@ Design notes (see DESIGN.md):
   representable as a float, and round-to-nearest monotonicity keeps
   computed float bounds sound.
 * **Landmark widening.** Joins snap bounds outward to the nearest
-  *landmark* — a constant appearing in the unit (plus -1/0/1) — making
-  the lattice finite so loops terminate in a few sweeps while keeping
-  full precision exactly where guards compare against program constants.
+  *landmark*, making the lattice finite. Landmarks are the constants
+  where a bound is consumed or produced: comparison operands (±1) and
+  ``mod`` divisors (±c, ±1), plus -1/0/1. A bound no comparison reads
+  buys nothing, and each extra landmark is one more sweep for a loop
+  counter bounded by an unknown. The solver joins a loop header's
+  previous IN into the next, so its bounds only widen and sweeps end.
 
 Branch edges and ``guard`` statements refine the interval of the
 condition's operands (sound here because the verifier enforces
@@ -30,9 +33,11 @@ condition sym can never be stale with respect to its operands).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from repro.analysis.cfg import def_counts, phi_assigns_for_edge
 from repro.analysis.dataflow import ForwardAnalysis, solve
-from repro.lms.ir import Branch, Deopt, Jump, OsrCompile, Return
+from repro.lms.ir import Branch
 from repro.lms.rep import ConstRep, Sym
 
 _MAX_EXACT = 2 ** 52
@@ -49,20 +54,16 @@ def _num(v):
         and v == v                     # excludes NaN; bool is fine
 
 
-def _cap(bound, sign):
+def _cap(bound):
     """Widen a bound to unbounded once it leaves the float-exact integer
-    range; ``sign`` is -1 for lows, +1 for highs."""
-    if bound is None:
-        return None
-    if bound != bound or bound in (float("inf"), float("-inf")):
-        return None
-    if abs(bound) > _MAX_EXACT:
+    range (NaN and the infinities included)."""
+    if bound is None or bound != bound or abs(bound) > _MAX_EXACT:
         return None
     return bound
 
 
 def interval(lo, hi):
-    return (_cap(lo, -1), _cap(hi, 1))
+    return (_cap(lo), _cap(hi))
 
 TOP = (None, None)
 
@@ -72,9 +73,6 @@ class RangeAnalysis(ForwardAnalysis):
     unreachable bottom."""
 
     def __init__(self, blocks, entry_id, params=()):
-        self.blocks = blocks
-        self.entry_id = entry_id
-        self.params = tuple(params)
         self.landmarks = self._collect_landmarks(blocks)
         counts = def_counts(blocks)
         # Refinement through a condition's defining statement is only
@@ -90,29 +88,19 @@ class RangeAnalysis(ForwardAnalysis):
     def _collect_landmarks(blocks):
         marks = {-1, 0, 1}
 
-        def note(rep):
-            if isinstance(rep, ConstRep) and _num(rep.value):
-                v = rep.value
-                if abs(v) <= _MAX_EXACT:
+        def note(rep, signs):
+            if isinstance(rep, ConstRep) and _num(rep.value) \
+                    and abs(rep.value) <= _MAX_EXACT:
+                for v in (s * rep.value for s in signs):
                     marks.update((v - 1, v, v + 1))
 
         for block in blocks.values():
             for stmt in block.stmts:
-                for a in stmt.args:
-                    note(a)
-            term = block.terminator
-            if isinstance(term, Branch):
-                note(term.cond)
-                for __, rep in term.true_assigns + term.false_assigns:
-                    note(rep)
-            elif isinstance(term, Jump):
-                for __, rep in term.phi_assigns:
-                    note(rep)
-            elif isinstance(term, Return):
-                note(term.value)
-            elif isinstance(term, (Deopt, OsrCompile)):
-                for rep in term.lives:
-                    note(rep)
+                if stmt.op in _MIRROR:
+                    for a in stmt.args[:2]:
+                        note(a, (1,))
+                elif stmt.op == "mod" and len(stmt.args) > 1:
+                    note(stmt.args[1], (1, -1))
         return sorted(marks)
 
     # -- lattice ---------------------------------------------------------------
@@ -124,23 +112,15 @@ class RangeAnalysis(ForwardAnalysis):
         return {}
 
     def _snap_lo(self, lo):
-        if lo is None:
-            return None
-        best = None
-        for m in self.landmarks:
-            if m <= lo:
-                best = m
-            else:
-                break
-        return best
+        """The largest landmark <= ``lo`` (None: unbounded)."""
+        i = 0 if lo is None else bisect_right(self.landmarks, lo)
+        return self.landmarks[i - 1] if i else None
 
     def _snap_hi(self, hi):
-        if hi is None:
-            return None
-        for m in self.landmarks:
-            if m >= hi:
-                return m
-        return None
+        """The smallest landmark >= ``hi`` (None: unbounded)."""
+        i = len(self.landmarks) if hi is None \
+            else bisect_left(self.landmarks, hi)
+        return self.landmarks[i] if i < len(self.landmarks) else None
 
     def join(self, a, b):
         if a is None:
@@ -166,14 +146,12 @@ class RangeAnalysis(ForwardAnalysis):
     # -- transfer --------------------------------------------------------------
 
     def value_of(self, rep, env):
-        if isinstance(rep, ConstRep):
-            if _num(rep.value):
-                v = int(rep.value) if isinstance(rep.value, bool) \
-                    else rep.value
-                return interval(v, v)
-            return TOP
         if isinstance(rep, Sym):
             return env.get(rep.name, TOP)
+        if isinstance(rep, ConstRep) and _num(rep.value):
+            v = _cap(int(rep.value) if isinstance(rep.value, bool)
+                     else rep.value)
+            return (v, v)
         return TOP
 
     def stmt_interval(self, stmt, env):
@@ -212,8 +190,6 @@ class RangeAnalysis(ForwardAnalysis):
             return (0, 1)
         if op == "alen":
             return (0, None)
-        if op == "new_array":
-            return TOP
         return TOP
 
     @staticmethod

@@ -97,11 +97,10 @@ class _TermBuilder:
     nodes.
     """
 
-    def __init__(self, blocks, fn_params):
+    def __init__(self, blocks):
         self.defs = {}          # sym name -> defining Stmt
         self.block_params = set()
         self.param_edges = {}   # param name -> [incoming Rep, ...]
-        self.fn_params = frozenset(fn_params)
         for block in blocks.values():
             self.block_params.update(block.params)
             for stmt in block.stmts:
@@ -114,7 +113,7 @@ class _TermBuilder:
                                                       succ):
                     self.param_edges.setdefault(name, []).append(rep)
         self.memo = {}
-        self._active = set()
+        self._active = set()    # params whose term is being built
 
     def term(self, rep, depth=0):
         if isinstance(rep, ConstRep):
@@ -128,9 +127,17 @@ class _TermBuilder:
         hit = self.memo.get(name)
         if hit is not None:
             return hit
-        if name in self._active or depth > _MAX_TERM_DEPTH:
+        if name in self._active:
+            # Every cycle passes through a block param, so params are the
+            # only cut points, and a cut reads as the param's own leaf:
+            # what a param re-entered through its cycle resolves to. A
+            # cut-marker term would make every term built across it
+            # depend on which sym the walk entered the cycle at.
+            return ("param", name)
+        if depth > _MAX_TERM_DEPTH:
             return ("rec", name)
-        self._active.add(name)
+        if name in self.block_params:
+            self._active.add(name)
         try:
             t = self._term_of_name(name, depth)
         finally:
@@ -187,7 +194,7 @@ def snapshot_ir(result):
     :func:`validate_pass`."""
     blocks, entry = result.blocks, result.entry_bid
     metas = result.metas
-    tb = _TermBuilder(blocks, result.param_names)
+    tb = _TermBuilder(blocks)
     reachable = reachable_from(blocks, entry)
     block_effects = {}
     write_io, calls, guards = Counter(), Counter(), Counter()

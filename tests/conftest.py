@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import faulthandler
 import os
 
 # The speculation-soundness checkers (per-pass translation validation +
@@ -14,6 +15,18 @@ import pytest
 
 from repro import Lancet
 from repro.interp.interpreter import Interpreter
+
+
+#: Seconds one test may run before every thread's stack is dumped and the
+#: process exits, so a runaway guest or compiler fails instead of hanging.
+HANG_TIMEOUT_S = 600
+
+
+@pytest.fixture(autouse=True)
+def _fail_on_hang():
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ elimination, post-optimization checkNoAlloc, flow-sensitive taint, and the
 JIT lint layer (``Lancet.analyze`` / ``repro jit --analyze``)."""
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -64,6 +65,26 @@ class TestSolver:
         solution = solve(blocks, 0, TaintAnalysis())
         assert "p1_0" in solution[1][0]
         assert "y" in solution[2][0]
+
+    def test_forward_acyclic_transfers_each_block_once(self):
+        class Counting(TaintAnalysis):
+            def __init__(self):
+                self.seen = Counter()
+
+            def transfer(self, block, in_value):
+                self.seen[block.block_id] += 1
+                return super().transfer(block, in_value)
+
+        blocks = _diamond_with_taint()
+        blocks[4] = _block(4, [_stmt("z", "taint", (ConstRep(0),))],
+                           Jump(3, [("p3_0", Sym("z"))]))   # unreachable
+        analysis = Counting()
+        solution = solve(blocks, 0, analysis)
+        assert analysis.seen == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
+        # The unreachable block runs once, against bottom, after the
+        # worklist; its OUT does not flow into B3.
+        assert solution[4] == (frozenset(), frozenset({"z"}))
+        assert "p3_0" in solution[3][0] and "z" not in solution[3][0]
 
     def test_backward_liveness(self):
         blocks = {

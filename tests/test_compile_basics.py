@@ -245,12 +245,17 @@ class TestOptimizations:
               return s;
             }
         '''
-        j = load(src)
+        from repro.frontend.compiler import compile_source
+        from repro.interp.interpreter import Interpreter
+        # The baseline is a JIT-less interpreter: a Lancet VM may record
+        # and run traces (REPRO_TRACE_TIER=1) and would time compiled code.
+        vm = Interpreter()
+        vm.load_classes(compile_source(src, module="Main"))
         n = 20000
         t0 = time.perf_counter()
-        expected = j.vm.call("Main", "work", [n])
+        expected = vm.call("Main", "work", [n])
         t_interp = time.perf_counter() - t0
-        c = j.compile_function("Main", "work")
+        c = load(src).compile_function("Main", "work")
         c(n)  # warm
         t0 = time.perf_counter()
         got = c(n)

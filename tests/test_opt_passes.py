@@ -8,12 +8,13 @@ import pytest
 
 from repro import CompileOptions, Lancet
 from repro.analysis.cfg import def_counts, dominates, dominators
+from repro.analysis.dataflow import solve
 from repro.analysis.effects import (EffectSummary, clobbers, is_total,
                                     may_alias)
 from repro.analysis.escape import escaping_names
 from repro.analysis.ranges import RangeAnalysis, range_facts
 from repro.errors import NoAllocError
-from repro.lms.ir import Block, Branch, Effect, Jump, Return, Stmt
+from repro.lms.ir import Block, Branch, Deopt, Effect, Jump, Return, Stmt
 from repro.lms.rep import ConstRep, StaticRep, Sym
 from repro.pipeline.gvn import global_value_numbering
 from repro.pipeline.licm import hoist_loop_invariants
@@ -23,6 +24,21 @@ from repro.pipeline.sink import sink_allocations
 
 def stmt(name, op, args, effect=Effect.PURE, flags=None):
     return Stmt(Sym(name), op, args, effect, flags)
+
+
+def count_transfers(analysis, limit=1000):
+    """Record the block id of each ``analysis.transfer`` call; fail past
+    ``limit`` calls instead of looping forever."""
+    seen = []
+    inner = analysis.transfer
+
+    def transfer(block, env):
+        seen.append(block.block_id)
+        assert len(seen) <= limit, "no fixpoint after %d transfers" % limit
+        return inner(block, env)
+
+    analysis.transfer = transfer
+    return seen
 
 
 def diamond():
@@ -208,6 +224,125 @@ class TestRanges:
         __, folded, __ = prune_range_guards(blocks, 0)
         assert folded == 1
         assert 2 not in blocks
+
+    def test_landmarks_are_compare_operands_and_mod_divisors(self):
+        num = {"num": True}
+        b0 = Block(0, params=["x", "y"])
+        b0.stmts += [stmt("c", "lt", (Sym("x"), ConstRep(5))),
+                     stmt("d", "ge", (ConstRep(7), Sym("y"))),
+                     stmt("m", "mod", (Sym("x"), ConstRep(10))),
+                     stmt("a", "add", (Sym("x"), ConstRep(99)), flags=num),
+                     stmt("g", "guard", (Sym("c"), ConstRep(0)),
+                          Effect.GUARD)]
+        b0.terminator = Branch(Sym("d"), 1, [("p", ConstRep(42))], 2, [])
+        b1 = Block(1, params=["p"])
+        b1.terminator = Return(ConstRep(77))
+        b2 = Block(2)
+        b2.terminator = Deopt(0, [ConstRep(123)])
+        marks = RangeAnalysis._collect_landmarks({0: b0, 1: b1, 2: b2})
+        assert marks == sorted({-1, 0, 1, 4, 5, 6, 6, 7, 8,
+                                9, 10, 11, -11, -10, -9})
+
+    def test_loop_nest_converges_in_few_transfers(self):
+        # for (i = 0; i < n; i++) { for (j = 0; j < 10; j++) t = j*93 ...
+        # The body's arithmetic constants are never compared, so they
+        # are not landmarks: the counter bounded by the parameter `n`
+        # widens to +inf in a few sweeps instead of climbing through them.
+        num = {"num": True}
+        b0 = Block(0, params=["n"])
+        b0.terminator = Jump(1, [("i", ConstRep(0)), ("s", ConstRep(0))])
+        b1 = Block(1, params=["i", "s"])
+        b1.stmts.append(stmt("c1", "lt", (Sym("i"), Sym("n"))))
+        b1.terminator = Branch(Sym("c1"), 2,
+                               [("j", ConstRep(0)), ("t", Sym("s"))], 5, [])
+        b2 = Block(2, params=["j", "t"])
+        b2.stmts.append(stmt("c2", "lt", (Sym("j"), ConstRep(10))))
+        b2.terminator = Branch(Sym("c2"), 3, [], 4, [])
+        b3 = Block(3)
+        b3.stmts += [stmt("t2", "mul", (Sym("j"), ConstRep(93)), flags=num),
+                     stmt("t3", "add", (Sym("t2"), ConstRep(5703)),
+                          flags=num),
+                     stmt("t4", "sub", (Sym("t3"), ConstRep(17)), flags=num),
+                     stmt("t5", "add", (Sym("t4"), ConstRep(255)),
+                          flags=num),
+                     stmt("t6", "mul", (Sym("t5"), ConstRep(12345)),
+                          flags=num),
+                     stmt("j2", "add", (Sym("j"), ConstRep(1)), flags=num)]
+        b3.terminator = Jump(2, [("j", Sym("j2")), ("t", Sym("t4"))])
+        b4 = Block(4)
+        b4.stmts += [stmt("k", "mul", (Sym("i"), ConstRep(31)), flags=num),
+                     stmt("i2", "add", (Sym("i"), ConstRep(1)), flags=num)]
+        b4.terminator = Jump(1, [("i", Sym("i2")), ("s", Sym("t"))])
+        b5 = Block(5)
+        b5.terminator = Return(Sym("s"))
+        blocks = {0: b0, 1: b1, 2: b2, 3: b3, 4: b4, 5: b5}
+        analysis = RangeAnalysis(blocks, 0, ["n"])
+        transfers = count_transfers(analysis)
+        facts = solve(blocks, 0, analysis)
+        assert len(transfers) <= 8 * len(blocks)
+        assert facts[1][0]["i"] == (0, None)
+        assert facts[2][0]["j"] == (0, 11)
+
+    def test_widening_terminates_from_non_landmark_start(self):
+        # i = 2 + 3; while (i < 23) { r = i % 3; i = i + 1; }: 4 is a
+        # landmark, 5 is not. The header joins [5, 5] with [6, 24] (lo
+        # snaps to 4) and then with [5, 24] (no snap): recomputed from
+        # its inputs alone, the IN would swing between the two forever.
+        # The header joins its previous IN.
+        num = {"num": True}
+        b0 = Block(0)
+        b0.stmts.append(stmt("i0", "add", (ConstRep(2), ConstRep(3)),
+                             flags=num))
+        b0.terminator = Jump(1, [("i", Sym("i0"))])
+        b1 = Block(1, params=["i"])
+        b1.stmts.append(stmt("c", "lt", (Sym("i"), ConstRep(23))))
+        b1.terminator = Branch(Sym("c"), 2, [], 3, [])
+        b2 = Block(2)
+        b2.stmts += [stmt("r", "mod", (Sym("i"), ConstRep(3))),
+                     stmt("i2", "add", (Sym("i"), ConstRep(1)), flags=num)]
+        b2.terminator = Jump(1, [("i", Sym("i2"))])
+        b3 = Block(3)
+        b3.terminator = Return(Sym("i"))
+        blocks = {0: b0, 1: b1, 2: b2, 3: b3}
+        analysis = RangeAnalysis(blocks, 0)
+        transfers = count_transfers(analysis)
+        facts = solve(blocks, 0, analysis)
+        assert len(transfers) < 100
+        lo, hi = facts[1][0]["i"]
+        assert lo <= 5 and hi == 24
+
+    def test_mod_divisor_bounds_loop_accumulator(self):
+        # acc = (acc + i * 7) % 10007 round a loop bounded by a param
+        # (i * 7 is unbounded, so the remainder may be negative);
+        # after it, gt(144180, acc) folds only if the header keeps
+        # acc <= 10007, i.e. only if the divisor is a landmark.
+        num = {"num": True}
+        b0 = Block(0, params=["n"])
+        b0.terminator = Jump(1, [("i", ConstRep(0)), ("acc", ConstRep(0))])
+        b1 = Block(1, params=["i", "acc"])
+        b1.stmts.append(stmt("c", "lt", (Sym("i"), Sym("n"))))
+        b1.terminator = Branch(Sym("c"), 2, [], 3, [])
+        b2 = Block(2)
+        b2.stmts += [stmt("a1", "mul", (Sym("i"), ConstRep(7)), flags=num),
+                     stmt("a2", "add", (Sym("acc"), Sym("a1")), flags=num),
+                     stmt("acc2", "mod", (Sym("a2"), ConstRep(10007))),
+                     stmt("i2", "add", (Sym("i"), ConstRep(1)), flags=num)]
+        b2.terminator = Jump(1, [("i", Sym("i2")), ("acc", Sym("acc2"))])
+        b3 = Block(3)
+        b3.stmts += [stmt("s", "add", (ConstRep(144000), ConstRep(180)),
+                          flags=num),
+                     stmt("g", "gt", (Sym("s"), Sym("acc")))]
+        b3.terminator = Branch(Sym("g"), 4, [], 5, [])
+        b4 = Block(4)
+        b4.terminator = Return(ConstRep(1))
+        b5 = Block(5)
+        b5.terminator = Return(ConstRep(0))
+        blocks = {0: b0, 1: b1, 2: b2, 3: b3, 4: b4, 5: b5}
+        facts = range_facts(blocks, 0, ["n"])[1]
+        assert facts[1][0]["acc"] == (-10007, 10007)
+        __, folded, detail = prune_range_guards(blocks, 0, ["n"])
+        assert folded == 1 and "true arm" in detail[0]
+        assert 5 not in blocks
 
 
 class TestGVNPass:

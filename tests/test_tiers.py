@@ -263,9 +263,13 @@ class TestPassManagerTiers:
         compiled = j.compile_function("Main", "calc")
         stats = compiled.report.pass_stats
         passes = [s for s in stats if not s["pass"].startswith("validate.")]
-        assert [s["pass"] for s in passes] == \
-            ["fuse", "gvn", "licm", "sink", "range", "dce", "guards",
-             "taint", "alloc"]
+        # The list depends on the environment (REPRO_PARSAFE adds
+        # parsafe); verify passes record no stats.
+        expected = [p for p in PassManager(j.options).passes_for(2)
+                    if not p.startswith("verify.")]
+        assert {"fuse", "gvn", "licm", "sink", "range", "dce", "guards",
+                "taint", "alloc"} <= set(expected)
+        assert [s["pass"] for s in passes] == expected
         for s in passes:
             assert s["blocks_after"] <= s["blocks_before"]
             assert s["seconds"] >= 0

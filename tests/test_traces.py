@@ -398,6 +398,21 @@ class TestTraceIRInvariants:
                           if e.data["mode"] == "compile"]
         assert compile_aborts == [], source
 
+    def test_back_edge_dedup_validates(self):
+        # Found by the property test above: GVN deduplicates the back
+        # edge's `0 * a` against the one println reads, and the
+        # validator must not report that as a changed effect.
+        src = ("def f(a, b) { var i0 = 0; while (i0 < 2) {"
+               " println((a + (0 * a))); a = (0 * a); i0 = i0 + 1; }"
+               " return 0; }")
+        j = trace_jit(src, trace_threshold=4, bridge_threshold=3)
+        for _ in range(5):
+            assert j.vm.call("Main", "f", [0, 0]) == 0
+            assert j.vm.output() == "0\n0\n"
+            j.vm.clear_output()
+        assert [e.data for e in j.telemetry.events("trace.abort")
+                if e.data["mode"] == "compile"] == []
+
     def test_checknoalloc_runs_over_trace_ir(self):
         # Allocation-free loop: the demand holds for every value the
         # loop computes, and the trace still compiles and runs.

@@ -20,7 +20,7 @@ from repro.compiler.deopt import DeoptMeta, FrameTemplate
 from repro.compiler.stagedinterp import CompileResult
 from repro.errors import DeoptStateError, TranslationValidationError
 from repro.frontend.compiler import compile_source
-from repro.lms.ir import Block, Effect, Jump, Return, Stmt
+from repro.lms.ir import Block, Branch, Effect, Jump, Return, Stmt
 from repro.lms.rep import ConstRep, Sym
 from tests.conftest import load
 
@@ -404,6 +404,35 @@ class TestValidatorUnit:
         b0.stmts[1] = Stmt(Sym("w"), "native", ("out", Sym("r9")),
                            Effect.IO)
         b0.terminator = Return(Sym("r9"))
+        assert validate_pass("gvn", before, result) == []
+
+    def test_back_edge_dedup_is_sound(self):
+        # GVN replaces the back edge's duplicate mul(0, a) with the one
+        # println already reads, so the walk now enters the loop's cycle
+        # at a different sym. println's argument must get the same term
+        # before and after, wherever the cycle was cut.
+        def num(name, op, *args):
+            return Stmt(Sym(name), op, args, Effect.PURE, {"num": True})
+
+        b0 = Block(0)
+        b0.terminator = Jump(1, [("a", Sym("a1")), ("i", ConstRep(0))])
+        b1 = Block(1)
+        b1.params = ["a", "i"]
+        b1.stmts = [num("t3", "mul", ConstRep(0), Sym("a")),
+                    num("t4", "add", Sym("a"), Sym("t3")),
+                    Stmt(Sym("w"), "native", ("out", Sym("t4")), Effect.IO),
+                    num("t6", "mul", ConstRep(0), Sym("a")),
+                    num("i2", "add", Sym("i"), ConstRep(1)),
+                    Stmt(Sym("c"), "lt", (Sym("i2"), ConstRep(2)),
+                         Effect.PURE)]
+        b1.terminator = Branch(Sym("c"), 1, [("a", Sym("t6")),
+                                             ("i", Sym("i2"))], 2, [])
+        b2 = Block(2)
+        b2.terminator = Return(ConstRep(0))
+        result = make_result({0: b0, 1: b1, 2: b2})
+        before = snapshot_ir(result)
+        del b1.stmts[3]
+        b1.terminator.true_assigns[0] = ("a", Sym("t3"))
         assert validate_pass("gvn", before, result) == []
 
 
